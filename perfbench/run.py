@@ -11,11 +11,12 @@ shipped binaries on them, checks every output against the generator's
 ground truth, and prints one JSON object as the last line of stdout.
 
 --trace 0 times whole program invocations from outside the process: one
-warm-up round, then timed rounds until S seconds have passed (at least two),
-each metric the median over the timed rounds. --trace 1 runs one checked
-round and then pbtrace, which times the public entry point of every layer
-on the same inputs and whose in-process record counts must equal the row
-counts of the program's output tables.
+warm-up round, then timed rounds for about S seconds (a round starts only
+if a typical round ends in time; at least two), each metric the median over
+the timed rounds. --trace 1 runs one checked round and then pbtrace, which
+times the public entry point of every layer on the same inputs and whose
+in-process record counts must equal the row counts of the program's output
+tables.
 """
 
 import argparse
@@ -31,6 +32,7 @@ import time
 
 MB = 1024.0 * 1024.0
 THREADS = "4"
+MIN_ROUNDS = 2
 WORKLOADS = ("batch_cold", "warm_extract", "lake_crawl", "follow_stream")
 # Record lines a --follow run may leave as noise once a new format appears:
 # one drift window (256 decided lines) to trigger re-discovery, plus one
@@ -498,18 +500,29 @@ def count(verdicts, record):
 def end_to_end(wl, seconds):
     failures = {}
     attempted = failed = 0
+    w0 = time.perf_counter()
     m, verdicts, rdir = wl.round(0)  # warm-up round, checked like the rest
     a, f = count(verdicts, failures)
     attempted, failed = attempted + a, failed + f
     shutil.rmtree(os.path.join(rdir, "out"), ignore_errors=True)
+    log("warm-up round %.1fs (invocation %.1fs, checks and clean-up %.1fs)"
+        % (time.perf_counter() - w0, m["wall_s"],
+           time.perf_counter() - w0 - m["wall_s"]))
     timed = []
-    start = time.perf_counter()
-    while len(timed) < 2 or time.perf_counter() - start < seconds:
+    spent = []  # seconds per round, its checks included
+    deadline = time.perf_counter() + seconds
+    # A round starts only if a typical round ends before the deadline, so
+    # a run lasts about `seconds` whatever the round length; at least
+    # MIN_ROUNDS rounds are timed.
+    while len(timed) < MIN_ROUNDS or (
+            time.perf_counter() + statistics.median(spent) <= deadline):
+        r0 = time.perf_counter()
         m, verdicts, rdir = wl.round(len(timed) + 1)
         a, f = count(verdicts, failures)
         attempted, failed = attempted + a, failed + f
         shutil.rmtree(os.path.join(rdir, "out"), ignore_errors=True)
         timed.append(m)
+        spent.append(time.perf_counter() - r0)
     for op, reason in sorted(failures.items()):
         log("failed: %s: %s" % (op, reason))
     med = lambda k: statistics.median(r[k] for r in timed)
@@ -520,8 +533,8 @@ def end_to_end(wl, seconds):
         "peak_rss_mb": (med("peak_rss_mb"), "MB"),
         "cpu_s": (med("cpu_s"), "s"),
     }
-    log("%d timed rounds: %s" % (len(timed), ", ".join(
-        "%.3fs" % r["wall_s"] for r in timed)))
+    log("%d timed rounds (wall, peak RSS): %s" % (len(timed), ", ".join(
+        "%.3fs %.0fMB" % (r["wall_s"], r["peak_rss_mb"]) for r in timed)))
     return True, attempted, failed, metrics
 
 
@@ -631,13 +644,18 @@ def main():
             die("%s not found: run from the root of a datamaran source "
                 "checkout" % need, 2)
 
+    t0 = time.perf_counter()
     bins = build()
+    t1 = time.perf_counter()
     inputs = inputs_for(bins, args.workload, args.seed)
+    t2 = time.perf_counter()
     rundir = os.path.join(BUILD, "runs", args.workload)
     shutil.rmtree(rundir, ignore_errors=True)
     os.makedirs(rundir)
     wl = CLASSES[args.workload](args.workload, bins, inputs, rundir)
     wl.setup()
+    log("build %.1fs, inputs %.1fs, workload set-up %.1fs" % (
+        t1 - t0, t2 - t1, time.perf_counter() - t2))
     if args.trace:
         correct, attempted, failed, metrics = traced(wl)
     else:
