@@ -402,12 +402,12 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
   return accepted;
 }
 
-PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
+PipelineResult Datamaran::Discover(const Dataset& data) const {
   PipelineResult result;
   Timer total_timer;
   // Discovery touches scattered sample chunks of a mapped file; the final
-  // scan streams through it once. Both hints are best-effort no-ops for
-  // owned backings and platforms without madvise.
+  // scan (Extract) streams through it once. Both hints are best-effort
+  // no-ops for owned backings and platforms without madvise.
   data.Advise(AccessHint::kRandom);
 
   // Catalog fast path: fingerprint a sample against the loaded catalog
@@ -417,7 +417,6 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
   // byte-identical to the fresh-discovery run that produced the entry.
   const bool use_catalog =
       catalog_loaded_ || !options_.catalog_out.empty();
-  std::vector<std::string> entry_programs;
   if (use_catalog) {
     Timer match_timer;
     CatalogMatchOptions match_opts;
@@ -437,7 +436,7 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
         const CatalogEntry& entry =
             catalog_.entry(static_cast<size_t>(match.entry));
         result.templates = entry.templates;
-        entry_programs = entry.programs;
+        result.programs = entry.programs;
         result.stats.catalog_hit = true;
         result.stats.catalog_entry = match.entry;
         result.stats.catalog_match_rate = match.match_rate;
@@ -487,18 +486,41 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
     }
   }
 
-  Timer extract_timer;
-  data.Advise(AccessHint::kSequential);
-  Extractor extractor(&result.templates, pool_.get(), options_.match_engine,
-                      options_.charset_engine, options_.max_line_bytes,
-                      entry_programs.empty() ? nullptr : &entry_programs);
-  result.extraction = extractor.Extract(data);
-  data.Advise(AccessHint::kNormal);
-  result.timings.extraction_s = extract_timer.Seconds();
   result.timings.total_s = total_timer.Seconds();
   result.stats.input_bytes = data.size_bytes();
   result.stats.input_mapped = data.is_mapped();
-  result.stats.input_resident_bytes = data.resident_bytes();
+  return result;
+}
+
+Extractor Datamaran::MakeExtractor(const PipelineResult& result) const {
+  return Extractor(&result.templates, pool_.get(), options_.match_engine,
+                   options_.charset_engine, options_.max_line_bytes,
+                   result.programs.empty() ? nullptr : &result.programs);
+}
+
+void Datamaran::FinishScan(const Dataset& data, double scan_s,
+                           PipelineResult* result) const {
+  data.Advise(AccessHint::kNormal);
+  result->timings.extraction_s = scan_s;
+  result->timings.total_s += scan_s;
+  result->stats.input_resident_bytes = data.resident_bytes();
+}
+
+void Datamaran::Extract(const Dataset& data, EventSink* sink,
+                        PipelineResult* result) const {
+  Timer timer;
+  data.Advise(AccessHint::kSequential);
+  result->extraction =
+      MakeExtractor(*result).ExtractEvents(DatasetView(data), sink);
+  FinishScan(data, timer.Seconds(), result);
+}
+
+PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
+  PipelineResult result = Discover(data);
+  Timer timer;
+  data.Advise(AccessHint::kSequential);
+  result.extraction = MakeExtractor(result).Extract(DatasetView(data));
+  FinishScan(data, timer.Seconds(), &result);
   return result;
 }
 

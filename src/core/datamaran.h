@@ -31,6 +31,14 @@
 ///   unexplained residual (Section 9.1) until nothing else clears alpha%.
 ///   Finally the whole file is extracted with the accepted template set.
 ///
+/// The batch pipeline is two calls: Discover (catalog fast path or cold
+/// discovery) and Extract (exactly one whole-file scan into a caller's
+/// EventSink, O(wave) memory). ExtractDataset/ExtractFile/ExtractText are
+/// collecting wrappers over Discover + Extractor::Extract: they keep every
+/// record as a ParsedValue tree, so their memory is O(file) — fine for
+/// tests, examples and the paper benches, wrong for large inputs, where
+/// callers use Discover + Extract with a streaming sink.
+///
 /// Memory model: the input file is one immutable backing buffer (owned or
 /// mmap'd — see Dataset::FromFile), the discovery sample is a DatasetView
 /// of its lines, and each residual round is produced by MaskMatchedLines —
@@ -89,7 +97,7 @@ struct PipelineStats {
   /// copies nothing except the rare candidate window that straddles a view
   /// gap, so this stays O(gaps x record) instead of O(rounds x sample).
   size_t residual_copy_bytes = 0;
-  /// Input backing diagnostics (ExtractFile / ExtractDataset only).
+  /// Input backing diagnostics (Discover / Extract and their wrappers).
   size_t input_bytes = 0;
   bool input_mapped = false;
   size_t input_resident_bytes = 0;
@@ -106,7 +114,14 @@ struct PipelineStats {
 struct PipelineResult {
   /// Accepted structure templates in discovery (priority) order.
   std::vector<StructureTemplate> templates;
-  /// Full-file extraction with those templates.
+  /// On a catalog hit, the entry's persisted compiled-program blobs,
+  /// parallel to `templates` (dispatch.h BuildMatchers); empty otherwise.
+  /// Extract hands them to the Extractor so matchers deserialize instead
+  /// of recompiling.
+  std::vector<std::string> programs;
+  /// Full-file extraction with those templates: the scan's accounting
+  /// after Extract, plus the collected records after ExtractDataset.
+  /// Empty after Discover alone.
   ExtractionResult extraction;
   StepTimings timings;
   PipelineStats stats;
@@ -123,24 +138,44 @@ class Datamaran {
   const DatamaranOptions& options() const { return options_; }
 
   /// Load status of options().catalog_in (OK when unset). The in-memory
-  /// catalog after any number of Extract* calls: loaded entries plus every
+  /// catalog after any number of Discover calls: loaded entries plus every
   /// format this instance discovered cold while options().catalog_out is
   /// set.
   const Status& catalog_status() const { return catalog_status_; }
   const TemplateCatalog& catalog() const { return catalog_; }
 
-  /// Runs the full pipeline over the file at `path`, choosing the backing
-  /// (mmap vs owned read) per options().mmap_mode.
+  /// Structure for `data`: the catalog fast path when a catalog is loaded
+  /// or options().catalog_out is set (a hit serves the entry's templates
+  /// and programs), else cold discovery, whose result is folded into the
+  /// catalog; then the catalog save to options().catalog_out. Fills
+  /// templates, programs, reports, timings (total_s = discovery wall time)
+  /// and stats; `extraction` stays empty.
+  PipelineResult Discover(const Dataset& data) const;
+
+  /// Exactly one whole-file scan of `data` with the templates (and
+  /// programs) of `result`, a Discover result for the same dataset, on
+  /// this instance's pool. Records and noise stream into `sink` (null =
+  /// count only) in scan order; `result->extraction` receives the scan's
+  /// accounting (no records are collected), timings.extraction_s the scan
+  /// time (also added to total_s), and stats.input_resident_bytes the
+  /// input's resident bytes after the scan.
+  void Extract(const Dataset& data, EventSink* sink,
+               PipelineResult* result) const;
+
+  /// Collecting wrappers: Discover, then Extractor::Extract, which keeps
+  /// every record in `extraction.records` — O(file) memory. Streaming
+  /// callers use Discover + Extract instead.
+  ///
+  /// ExtractFile opens `path` through the resilient input front-end,
+  /// choosing the backing (mmap vs owned read) per options().mmap_mode.
   Result<PipelineResult> ExtractFile(const std::string& path) const;
-
-  /// Runs the full pipeline over an already-opened dataset.
   PipelineResult ExtractDataset(const Dataset& data) const;
-
-  /// Runs the full pipeline over an in-memory dataset.
   PipelineResult ExtractText(std::string text) const;
 
-  /// Structure discovery only (no whole-file extraction); `data` is sampled
-  /// internally. Used by parameter-sweep benchmarks.
+  /// Cold structure discovery only (no catalog, no whole-file
+  /// extraction); `data` is sampled internally. Timings accumulate into
+  /// `timings`. Used by Discover, the crawler, streaming sessions and
+  /// parameter-sweep benchmarks.
   std::vector<StructureTemplate> DiscoverTemplates(const Dataset& data,
                                                    StepTimings* timings,
                                                    PipelineStats* stats,
@@ -148,6 +183,13 @@ class Datamaran {
                                                        reports) const;
 
  private:
+  /// The extractor for a Discover result's templates and programs.
+  Extractor MakeExtractor(const PipelineResult& result) const;
+  /// Shared tail of Extract/ExtractDataset: advice reset, scan timing and
+  /// resident bytes.
+  void FinishScan(const Dataset& data, double scan_s,
+                  PipelineResult* result) const;
+
   DatamaranOptions options_;
   MdlScorer scorer_;
   /// Shared worker pool for all parallel stages (options_.num_threads,
@@ -155,7 +197,7 @@ class Datamaran {
   /// size-1 pool runs everything inline, reproducing the sequential
   /// reference behavior bit for bit.
   std::unique_ptr<ThreadPool> pool_;
-  /// Catalog fast-path state. ExtractDataset is const (the pipeline is a
+  /// Catalog fast-path state. Discover is const (the pipeline is a
   /// pure function of options + input); folding a cold-discovered format
   /// back into the catalog is a cache fill, so the catalog is mutable and
   /// mutex-guarded for callers extracting from several threads.

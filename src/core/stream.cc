@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "template/catalog.h"
+#include "util/timer.h"
 
 namespace datamaran {
 
@@ -153,9 +154,8 @@ Status StreamingSession::Finish() {
 std::vector<StructureTemplate> StreamingSession::Discover(std::string text) {
   stats_.discovery_runs++;
   Dataset data(std::move(text));
-  StepTimings timings;
   PipelineStats pstats;
-  return dm_.DiscoverTemplates(data, &timings, &pstats, nullptr);
+  return dm_.DiscoverTemplates(data, &timings_, &pstats, nullptr);
 }
 
 void StreamingSession::RunInitialDiscovery() {
@@ -246,7 +246,9 @@ void StreamingSession::ProcessSegment(bool final_flush) {
     Dataset segment{std::string(window_)};
     StreamSegmentAdapter adapter(this, &segment, boundary,
                                  stats_.lines_decided);
+    Timer scan_timer;
     extractor_->ExtractEvents(segment, &adapter);
+    timings_.extraction_s += scan_timer.Seconds();
     const size_t undecided = adapter.undecided_from();
     if (undecided == StreamSegmentAdapter::kNone) {
       window_.clear();

@@ -191,6 +191,12 @@ class StreamingSession {
 
   const StreamStats& stats() const { return stats_; }
 
+  /// Step timings accumulated over the session: the discovery steps of
+  /// every discovery run (warm-up and evolutions) and extraction_s for the
+  /// segment scans. catalog_match_s and total_s stay 0 (no catalog; the
+  /// caller owns the wall clock).
+  const StepTimings& timings() const { return timings_; }
+
   /// Live template set in priority (id) order. Pointers are stable for
   /// the session's lifetime (a deque backs them) — the same pointers
   /// handed to EventSink::OnTemplatesAdded.
@@ -265,6 +271,7 @@ class StreamingSession {
   bool evolution_pending_ = false;  ///< trigger seen, evolution not yet run
 
   StreamStats stats_;
+  StepTimings timings_;
   Status status_ = Status::Ok();
 };
 

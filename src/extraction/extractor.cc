@@ -9,46 +9,26 @@ namespace datamaran {
 
 namespace {
 
-/// EventSink adapter that replays each record's event stream into a
-/// ParsedValue tree and forwards to a tree-shaped RecordSink. This is how
-/// the legacy tree path rides on the single flat-event scan.
-class TreeReplaySink : public EventSink {
+/// EventSink that materializes ExtractedRecords: each record's event
+/// stream is replayed into a ParsedValue tree (BuildParsedValue). O(file)
+/// memory by design; this is what Extractor::Extract runs on.
+class CollectingSink : public EventSink {
  public:
-  TreeReplaySink(const std::vector<StructureTemplate>* templates,
-                 RecordSink* sink)
-      : templates_(templates), sink_(sink) {}
+  CollectingSink(const std::vector<StructureTemplate>* templates,
+                 const std::vector<int>* spans, ExtractionResult* out)
+      : templates_(templates), spans_(spans), out_(out) {}
 
   void OnRecord(int template_id, size_t first_line,
                 std::string_view /*text*/, size_t pos, size_t /*end*/,
                 const MatchEvent* events, size_t num_events) override {
-    sink_->OnRecord(
-        template_id, first_line,
-        BuildParsedValue((*templates_)[static_cast<size_t>(template_id)], pos,
-                         events, num_events));
-  }
-
-  void OnNoiseLine(size_t line_index) override {
-    sink_->OnNoiseLine(line_index);
-  }
-
- private:
-  const std::vector<StructureTemplate>* templates_;
-  RecordSink* sink_;
-};
-
-/// Sink that materializes ExtractedRecords.
-class CollectingSink : public RecordSink {
- public:
-  explicit CollectingSink(ExtractionResult* out) : out_(out) {}
-
-  void OnRecord(int template_id, size_t first_line,
-                ParsedValue&& value) override {
+    const size_t t = static_cast<size_t>(template_id);
     ExtractedRecord rec;
     rec.template_id = template_id;
-    rec.begin = value.begin;
-    rec.end = value.end;
     rec.first_line = first_line;
-    rec.value = std::move(value);
+    rec.line_count = (*spans_)[t];
+    rec.value = BuildParsedValue((*templates_)[t], pos, events, num_events);
+    rec.begin = rec.value.begin;
+    rec.end = rec.value.end;
     out_->records.push_back(std::move(rec));
   }
 
@@ -57,6 +37,8 @@ class CollectingSink : public RecordSink {
   }
 
  private:
+  const std::vector<StructureTemplate>* templates_;
+  const std::vector<int>* spans_;
   ExtractionResult* out_;
 };
 
@@ -90,6 +72,16 @@ struct ChunkScan {
 /// Minimum lines per chunk: below this the per-chunk bookkeeping outweighs
 /// the matching work.
 constexpr size_t kMinLinesPerChunk = 256;
+/// Maximum lines per chunk. A chunk buffers every attempt's flat events
+/// until the stitch (tens of events per record), so this cap is what makes
+/// a wave, and with it the scan's peak memory, independent of file size.
+constexpr size_t kMaxLinesPerChunk = 4096;
+
+/// Automatic chunk granularity: about 16 chunks per thread, clamped.
+size_t AutoLinesPerChunk(size_t lines, size_t threads) {
+  return std::clamp(lines / (threads * 16), kMinLinesPerChunk,
+                    kMaxLinesPerChunk);
+}
 
 }  // namespace
 
@@ -188,7 +180,7 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
   // is bounded by one wave of output regardless of thread count. Flush
   // boundaries never affect emitted bytes, only when they reach the OS.
   size_t chunk_lines = lines_per_chunk_;
-  if (chunk_lines == 0) chunk_lines = std::max(kMinLinesPerChunk, n / 16);
+  if (chunk_lines == 0) chunk_lines = AutoLinesPerChunk(n, 1);
   const size_t wave_lines = chunk_lines * 2;
   size_t next_wave = wave_lines;
   while (li < n) {
@@ -210,8 +202,7 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
   const int threads = pool_ != nullptr ? pool_->thread_count() : 1;
   size_t chunk_lines = lines_per_chunk_;
   if (chunk_lines == 0) {
-    chunk_lines = std::max(kMinLinesPerChunk,
-                           n / (static_cast<size_t>(threads) * 16));
+    chunk_lines = AutoLinesPerChunk(n, static_cast<size_t>(threads));
   }
   if (threads <= 1 || matchers_.empty() || n < 2 * chunk_lines) {
     return ExtractSequential(data, sink);
@@ -326,29 +317,12 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
   return stats;
 }
 
-ExtractionResult Extractor::ExtractStreaming(const DatasetView& data,
-                                             RecordSink* sink) const {
-  if (sink == nullptr) return ExtractEvents(data, nullptr);
-  TreeReplaySink adapter(templates_, sink);
-  return ExtractEvents(data, &adapter);
-}
-
 ExtractionResult Extractor::Extract(const DatasetView& data) const {
-  ExtractionResult out;
-  CollectingSink sink(&out);
-  ExtractionResult stats = ExtractStreaming(data, &sink);
-  out.covered_chars = stats.covered_chars;
-  out.total_chars = stats.total_chars;
-  out.total_lines = stats.total_lines;
-  out.matched_records = stats.matched_records;
-  out.noise_line_count = stats.noise_line_count;
-  out.records_per_template = std::move(stats.records_per_template);
-  // Recompute line counts for the collected records.
-  for (ExtractedRecord& rec : out.records) {
-    rec.line_count = spans_.empty()
-                         ? 1
-                         : spans_[static_cast<size_t>(rec.template_id)];
-  }
+  ExtractionResult collected;
+  CollectingSink sink(templates_, &spans_, &collected);
+  ExtractionResult out = ExtractEvents(data, &sink);
+  out.records = std::move(collected.records);
+  out.noise_lines = std::move(collected.noise_lines);
   return out;
 }
 

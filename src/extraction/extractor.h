@@ -48,19 +48,20 @@
 /// the scan buffers nothing but those events plus span bookkeeping, so peak
 /// memory is O(wave), not O(file):
 ///
-///  * EventSink is the primitive consumer: it receives each record's flat
+///  * EventSink is the one consumer contract: it receives each record's flat
 ///    event stream in scan order (ExtractEvents). The columnar writers in
 ///    extraction/sinks.h implement it to stream per-template denormalized
 ///    CSV/NDJSON rows or the normalized multi-table CSV layout, plus a
 ///    noise-line stream, straight to disk, never materializing a
 ///    ParsedValue, which is what keeps `datamaran_cli --out` O(wave) in
-///    memory end to end on a mapped multi-GB file.
-///  * RecordSink is the tree-shaped convenience: ExtractStreaming wraps it
-///    in an adapter that replays each event stream into a ParsedValue
-///    (BuildParsedValue) before forwarding — one scan implementation serves
-///    both shapes.
-///  * Extract collects everything into an ExtractionResult (a RecordSink
-///    that buffers; O(file) memory, for callers that want the records).
+///    memory end to end on a mapped multi-GB file. A caller that only
+///    wants counts passes a null sink (or a counting one): the returned
+///    ExtractionResult carries the full line and per-template accounting
+///    either way.
+///  * Extract is the collecting convenience for tests, examples and the
+///    paper benches: a private EventSink replays each event stream into a
+///    ParsedValue (BuildParsedValue) and buffers every record — O(file)
+///    memory, one scan implementation underneath.
 ///
 /// Ordering and row-id rebase contract. Speculative chunks buffer raw
 /// events only — they never see output row numbering, because a chunk
@@ -142,18 +143,8 @@ class EventSink {
   virtual void OnWaveEnd() {}
 };
 
-/// Tree-shaped streaming consumer: like EventSink, but each record arrives
-/// as a replayed ParsedValue. Prefer EventSink for writers that do not need
-/// the tree — it skips the per-record tree allocation entirely.
-class RecordSink {
- public:
-  virtual ~RecordSink() = default;
-  virtual void OnRecord(int template_id, size_t first_line,
-                        ParsedValue&& value) = 0;
-  virtual void OnNoiseLine(size_t /*line_index*/) {}
-};
-
-/// In-memory extraction output.
+/// Extraction outcome: the scan's line and per-template accounting, plus
+/// the collected records and noise lines (Extract only; empty otherwise).
 struct ExtractionResult {
   std::vector<ExtractedRecord> records;
   std::vector<size_t> noise_lines;
@@ -213,8 +204,8 @@ class Extractor {
                      const std::vector<std::string>* programs = nullptr);
 
   /// Streams each record's flat MatchEvent parse into `sink` in scan order;
-  /// returns coverage statistics. This is the one scan implementation — the
-  /// tree paths below are adapters over it. Memory stays bounded in the
+  /// returns coverage statistics. This is the one scan implementation —
+  /// Extract below is a collecting sink over it. Memory stays bounded in the
   /// parallel case too: chunks are processed in waves of a few per thread,
   /// each chunk buffering only events and span bookkeeping (no ParsedValue
   /// trees), flushed to the sink in stitched order before the next wave
@@ -222,17 +213,9 @@ class Extractor {
   ExtractionResult ExtractEvents(const DatasetView& data,
                                  EventSink* sink) const;
 
-  /// Streams records/noise into `sink` in scan order; returns coverage
-  /// statistics without retaining parsed values. Each record's ParsedValue
-  /// is replayed from its event stream (BuildParsedValue) just before the
-  /// callback; spans index into the backing text for in-place windows
-  /// (always, for identity views), and into transient scratch for a
-  /// cross-gap window of a gapped view (only meaningful inside the
-  /// callback).
-  ExtractionResult ExtractStreaming(const DatasetView& data,
-                                    RecordSink* sink) const;
-
-  /// Convenience: collects everything in memory.
+  /// Collects every record (as a ParsedValue tree) and noise line in
+  /// memory, plus the same accounting ExtractEvents returns. O(file)
+  /// memory: streaming callers use ExtractEvents.
   ExtractionResult Extract(const DatasetView& data) const;
 
   /// Overrides the automatic chunk granularity (lines per parallel chunk);

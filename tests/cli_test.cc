@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,6 +15,7 @@
 #endif
 
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 // End-to-end golden harness for `datamaran_cli --out`: runs the real binary
@@ -872,10 +874,10 @@ TEST(CliCrawlTest, ConcurrentCrawlersShareCatalogWithoutLoss) {
 
 // ------------------------------------------- streaming vs collecting parity ---
 
-/// The crawler streams events (never materializing records); the CLI's
-/// --summary-json path collects them. Both must report identical
-/// per-template accounting for the same input — the counts come from the
-/// extractor's own bookkeeping, not from the collected vector.
+/// The crawler and the CLI reach the scan through different entry points
+/// (the crawler's own per-file Extractor; the CLI's Datamaran::Extract).
+/// Both must report identical per-template accounting for the same input
+/// — the counts come from the extractor's own bookkeeping.
 TEST(CliCrawlTest, StreamingCrawlCountsMatchCollectingCliSummary) {
   const std::string lake = ::testing::TempDir() + "dm_crawl_parity_lake";
   const std::string out = ::testing::TempDir() + "dm_crawl_parity_out";
@@ -1017,6 +1019,75 @@ TEST(CliFollowTest, FollowMatchesBatchOutputOnStaticFile) {
       << summary_text.value();
   fs::remove_all(out_batch);
   fs::remove_all(out_follow);
+  fs::remove(summary);
+}
+
+// ------------------------------------------------------ summary timings ---
+
+constexpr const char* kStepTimings[] = {"catalog_match_s", "generation_s",
+                                        "pruning_s",       "evaluation_s",
+                                        "refinement_s",    "extraction_s"};
+
+/// `timings.<key>` of the --summary-json document at `path` (-1 when the
+/// document or the key is missing).
+double SummaryTiming(const std::string& path, const char* key) {
+  auto text = ReadFileToString(path);
+  if (!text.ok()) return -1;
+  auto doc = ParseJson(text.value());
+  if (!doc.ok()) return -1;
+  const JsonValue* timings = doc.value().Find("timings");
+  const JsonValue* v = timings != nullptr ? timings->Find(key) : nullptr;
+  const std::optional<double> d = v != nullptr ? v->AsDouble() : std::nullopt;
+  return d.value_or(-1);
+}
+
+/// total_s must cover every step: the steps are disjoint intervals inside
+/// the run's wall time. The tolerance absorbs the %.6f rendering.
+void ExpectTotalCoversSteps(const std::string& summary) {
+  double steps = 0;
+  for (const char* key : kStepTimings) {
+    const double v = SummaryTiming(summary, key);
+    EXPECT_GE(v, 0) << key;
+    steps += v;
+  }
+  EXPECT_GE(SummaryTiming(summary, "total_s") + 1e-5, steps);
+}
+
+// The batch summary accounts for the write: extraction_s covers the one
+// scan plus the sink's Finish, and total_s runs from open to finish.
+TEST(CliSummaryTest, OutRunTimingsCoverTheScanAndWrite) {
+  const std::string input = SourcePath("tests/data/cli_interleaved.log");
+  const std::string out = ::testing::TempDir() + "dm_cli_timings_out";
+  const std::string summary = ::testing::TempDir() + "dm_cli_timings.json";
+  fs::remove_all(out);
+  ASSERT_EQ(RunCli(StrFormat("\"%s\" --out=\"%s\" --summary-json=\"%s\"",
+                             input.c_str(), out.c_str(), summary.c_str())),
+            0);
+  EXPECT_GT(SummaryTiming(summary, "extraction_s"), 0);
+  ExpectTotalCoversSteps(summary);
+  fs::remove_all(out);
+  fs::remove(summary);
+}
+
+// --follow reports the timings its discovery runs and segment scans
+// accumulated, instead of all zeros.
+TEST(CliFollowTest, FollowSummaryReportsDiscoveryTimings) {
+  const std::string input = SourcePath("tests/data/cli_basic.log");
+  const auto size = FileSizeBytes(input);
+  ASSERT_TRUE(size.ok());
+  const std::string summary =
+      ::testing::TempDir() + "dm_cli_follow_timings.json";
+  ASSERT_EQ(RunCli(StrFormat("--follow=\"%s\" --follow-max-bytes=%zu "
+                             "--summary-json=\"%s\"",
+                             input.c_str(), size.value(), summary.c_str())),
+            0);
+  auto text = ReadFileToString(summary);
+  ASSERT_TRUE(text.ok());
+  ASSERT_NE(text.value().find("\"discovery_runs\": 1"), std::string::npos)
+      << text.value();
+  EXPECT_GT(SummaryTiming(summary, "generation_s"), 0);
+  EXPECT_GT(SummaryTiming(summary, "extraction_s"), 0);
+  ExpectTotalCoversSteps(summary);
   fs::remove(summary);
 }
 

@@ -77,10 +77,13 @@ TEST(ExtractorTest, PriorityOrderBreaksTies) {
 }
 
 TEST(ExtractorTest, StreamingSinkSeesEverything) {
-  class Counter : public RecordSink {
+  class Counter : public EventSink {
    public:
     int records = 0, noise = 0;
-    void OnRecord(int, size_t, ParsedValue&&) override { ++records; }
+    void OnRecord(int, size_t, std::string_view, size_t, size_t,
+                  const MatchEvent*, size_t) override {
+      ++records;
+    }
     void OnNoiseLine(size_t) override { ++noise; }
   };
   Dataset data("a,b\nnoise\nc,d\nmore noise\n");
@@ -88,9 +91,13 @@ TEST(ExtractorTest, StreamingSinkSeesEverything) {
   ts.push_back(MustParse("F,F\n"));
   Extractor ex(&ts);
   Counter counter;
-  ex.ExtractStreaming(data, &counter);
+  const ExtractionResult stats = ex.ExtractEvents(data, &counter);
   EXPECT_EQ(counter.records, 2);
   EXPECT_EQ(counter.noise, 2);
+  // The streaming scan collects nothing but still accounts for every line.
+  EXPECT_TRUE(stats.records.empty());
+  EXPECT_EQ(stats.matched_records, 2u);
+  EXPECT_EQ(stats.noise_line_count, 2u);
 }
 
 // ------------------------------------------------------------ relational --

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "core/datamaran.h"
@@ -171,6 +172,66 @@ TEST(PipelineTest, ExtractFileRoundTrip) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->templates.size(), 1u);
   std::remove(path.c_str());
+}
+
+// Discover + Extract is the one-scan batch path: with a null sink it must
+// account for exactly what the collecting wrapper collects, without
+// collecting anything.
+TEST(PipelineTest, DiscoverThenExtractMatchesCollectingWrapper) {
+  const std::string text = WebLog(300, 10) + "free text\n" + WebLog(50, 11);
+  Datamaran dm(FastOptions());
+  const PipelineResult collected = dm.ExtractText(text);
+
+  const Dataset data(text);
+  PipelineResult result = dm.Discover(data);
+  EXPECT_EQ(result.extraction.total_lines, 0u) << "Discover must not scan";
+  dm.Extract(data, nullptr, &result);
+  ASSERT_EQ(result.templates.size(), collected.templates.size());
+  for (size_t t = 0; t < result.templates.size(); ++t) {
+    EXPECT_EQ(result.templates[t].canonical(),
+              collected.templates[t].canonical());
+  }
+  const ExtractionResult& got = result.extraction;
+  const ExtractionResult& want = collected.extraction;
+  EXPECT_TRUE(got.records.empty());
+  EXPECT_TRUE(got.noise_lines.empty());
+  EXPECT_EQ(got.matched_records, want.records.size());
+  EXPECT_EQ(got.noise_line_count, want.noise_lines.size());
+  EXPECT_EQ(got.records_per_template, want.records_per_template);
+  EXPECT_EQ(got.covered_chars, want.covered_chars);
+  EXPECT_EQ(got.total_lines, want.total_lines);
+  EXPECT_GT(result.timings.extraction_s, 0);
+  EXPECT_GE(result.timings.total_s, result.timings.extraction_s);
+  EXPECT_EQ(result.stats.input_bytes, text.size());
+}
+
+// A catalog hit hands the entry's persisted compiled programs to the scan.
+TEST(PipelineTest, CatalogHitDiscoverCarriesPrograms) {
+  const std::string catalog = testing::TempDir() + "/dm_pipeline_cat.txt";
+  std::remove(catalog.c_str());
+  const std::string text = WebLog(300, 12);
+  DatamaranOptions cold_opts = FastOptions();
+  cold_opts.catalog_out = catalog;
+  const PipelineResult cold = Datamaran(cold_opts).ExtractText(text);
+  ASSERT_FALSE(cold.templates.empty());
+  EXPECT_TRUE(cold.programs.empty()) << "cold discovery has no programs";
+
+  DatamaranOptions warm_opts = FastOptions();
+  warm_opts.catalog_in = catalog;
+  const Datamaran warm(warm_opts);
+  ASSERT_TRUE(warm.catalog_status().ok());
+  const Dataset data(text);
+  PipelineResult result = warm.Discover(data);
+  ASSERT_TRUE(result.stats.catalog_hit);
+  ASSERT_EQ(result.programs.size(), result.templates.size());
+  for (const std::string& blob : result.programs) EXPECT_FALSE(blob.empty());
+  warm.Extract(data, nullptr, &result);
+  EXPECT_EQ(result.extraction.records_per_template,
+            cold.extraction.records_per_template);
+  EXPECT_EQ(result.extraction.noise_line_count,
+            cold.extraction.noise_lines.size());
+  std::remove(catalog.c_str());
+  std::remove((catalog + ".lock").c_str());
 }
 
 TEST(PipelineTest, MissingFileErrors) {

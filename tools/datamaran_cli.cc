@@ -34,9 +34,11 @@
 // never a crash; with --summary-json the error is also recorded in the
 // summary's "error" field.
 //
-// Prints the discovered templates and a summary (including how the input
-// was backed: mmap'd bytes vs. bytes actually resident); with --out,
-// streams relational files through the flat-event writers in
+// A batch run is discovery (Datamaran::Discover) plus exactly one
+// extraction scan (Datamaran::Extract). Prints the discovered templates
+// and a summary taken from that scan's own accounting (including how the
+// input was backed: mmap'd bytes vs. bytes actually resident); with --out,
+// the scan streams relational files through the flat-event writers in
 // extraction/sinks.h — rows are written incrementally as the scan
 // stitches each wave, so peak memory stays O(wave) even for a multi-GB
 // mmap'd input. The default layout is denormalized (one type<t>.csv or
@@ -64,6 +66,7 @@
 #include "util/file_io.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -458,6 +461,7 @@ int main(int argc, char** argv) {
       sink = write_sink.get();
     }
 
+    Timer total_timer;
     StreamingSession session(options, stream_options, sink);
     FollowReader reader(follow_path);
     std::string buf;
@@ -563,6 +567,8 @@ int main(int argc, char** argv) {
       s.charset_engine =
           CharsetEngineName(ResolveCharsetEngine(options.charset_engine));
       s.threads = ThreadPool::ResolveThreadCount(options.num_threads);
+      s.timings = session.timings();
+      s.timings.total_s = total_timer.Seconds();
       Status written = WriteFileAtomic(summary_json, FileSummaryToJson(s));
       if (!written.ok()) {
         std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
@@ -572,6 +578,9 @@ int main(int argc, char** argv) {
     return exit_code;
   }
 
+  // total_s runs from the open to the sink's Finish, so the summary's
+  // step timings account for the whole run.
+  Timer total_timer;
   std::vector<std::string> input_paths;
   if (!inputs_spec.empty()) {
     auto expanded = ExpandInputSpec(inputs_spec);
@@ -583,47 +592,67 @@ int main(int argc, char** argv) {
 
   Datamaran dm(options);
   if (!dm.catalog_status().ok()) return fail(dm.catalog_status());
-  // One open through the resilient front-end serves both the pipeline and
-  // the --out extraction pass (the dataset is immutable).
+  // One open through the resilient front-end serves both discovery and
+  // the extraction scan (the dataset is immutable).
   auto opened = OpenInputs(input_paths, MakeInputOptions(options));
   if (!opened.ok()) return fail(opened.status());
   Dataset data = std::move(opened.value());
-  PipelineResult pipeline = dm.ExtractDataset(data);
-  PipelineResult* result = &pipeline;
+  PipelineResult result = dm.Discover(data);
 
-  std::printf("%zu structure template(s):\n", result->templates.size());
-  for (size_t t = 0; t < result->templates.size(); ++t) {
-    std::printf("  [%zu] span=%d fields=%d  %s\n", t,
-                result->templates[t].line_span(),
-                result->templates[t].field_count(),
-                result->templates[t].Display().c_str());
+  // Exactly one scan. With --out it feeds a write sink: the scan's flat
+  // events go to the writers directly and nothing is buffered beyond one
+  // wave of rows, for both layouts. Without --out (or with no templates,
+  // where no tables are written) the scan only counts. Every count below
+  // comes from the scan's own accounting. extraction_s covers opening the
+  // tables, the scan and the final flush.
+  Timer extract_timer;
+  DatasetView view(data);
+  std::unique_ptr<WriteSinkBase> sink;
+  if (!out_dir.empty() && !result.templates.empty()) {
+    if (normalized) {
+      sink = std::make_unique<NormalizedWriteSink>(&result.templates, view,
+                                                   out_dir);
+    } else {
+      sink = std::make_unique<ColumnarWriteSink>(&result.templates, view,
+                                                 out_dir, format);
+    }
+    // Unwritable out dir: fail before the scan.
+    if (!sink->status().ok()) return fail(sink->status());
   }
-  size_t per_type[64] = {};
-  for (const auto& rec : result->extraction.records) {
-    if (rec.template_id < 64) per_type[rec.template_id]++;
+  dm.Extract(data, sink.get(), &result);
+  const Status finished = sink != nullptr ? sink->Finish() : Status::Ok();
+  result.timings.extraction_s = extract_timer.Seconds();
+  result.timings.total_s = total_timer.Seconds();
+  const ExtractionResult& extraction = result.extraction;
+
+  std::printf("%zu structure template(s):\n", result.templates.size());
+  for (size_t t = 0; t < result.templates.size(); ++t) {
+    std::printf("  [%zu] span=%d fields=%d  %s\n", t,
+                result.templates[t].line_span(),
+                result.templates[t].field_count(),
+                result.templates[t].Display().c_str());
   }
   std::printf("records:");
-  for (size_t t = 0; t < result->templates.size() && t < 64; ++t) {
-    std::printf(" type%zu=%zu", t, per_type[t]);
+  for (size_t t = 0; t < result.templates.size() && t < 64; ++t) {
+    std::printf(" type%zu=%zu", t, extraction.records_per_template[t]);
   }
   std::printf("  noise_lines=%zu  coverage=%.1f%%\n",
-              result->extraction.noise_lines.size(),
-              result->extraction.coverage() * 100);
+              extraction.noise_line_count, extraction.coverage() * 100);
   std::printf(
       "timings: gen=%.2fs prune=%.2fs eval=%.2fs refine=%.2fs extract=%.2fs\n",
-      result->timings.generation_s, result->timings.pruning_s,
-      result->timings.evaluation_s, result->timings.refinement_s,
-      result->timings.extraction_s);
-  if (result->stats.catalog_checked) {
-    if (result->stats.catalog_hit) {
+      result.timings.generation_s, result.timings.pruning_s,
+      result.timings.evaluation_s, result.timings.refinement_s,
+      result.timings.extraction_s);
+  if (result.stats.catalog_checked) {
+    if (result.stats.catalog_hit) {
       std::printf("catalog: hit entry %d (%.1f%% of sample; fingerprint "
                   "%.3fs, discovery skipped)\n",
-                  result->stats.catalog_entry,
-                  result->stats.catalog_match_rate * 100,
-                  result->timings.catalog_match_s);
+                  result.stats.catalog_entry,
+                  result.stats.catalog_match_rate * 100,
+                  result.timings.catalog_match_s);
     } else {
       std::printf("catalog: miss (fingerprint %.3fs, cold discovery)\n",
-                  result->timings.catalog_match_s);
+                  result.timings.catalog_match_s);
     }
   }
   std::printf("match engine: %s\n",
@@ -641,27 +670,25 @@ int main(int argc, char** argv) {
   }
   std::printf("evaluation: %zu candidate(s) scored, %zu pruned by MDL "
               "bound\n",
-              result->stats.candidates_evaluated,
-              result->stats.candidates_pruned);
-  if (result->stats.input_mapped) {
+              result.stats.candidates_evaluated,
+              result.stats.candidates_pruned);
+  if (result.stats.input_mapped) {
     std::printf("input: %zu bytes mmap-backed, ~%zu resident after run\n",
-                result->stats.input_bytes,
-                result->stats.input_resident_bytes);
+                result.stats.input_bytes, result.stats.input_resident_bytes);
   } else {
     std::printf("input: %zu bytes read into memory\n",
-                result->stats.input_bytes);
+                result.stats.input_bytes);
   }
-  if (result->stats.score_cache_hits + result->stats.score_cache_misses > 0) {
+  if (result.stats.score_cache_hits + result.stats.score_cache_misses > 0) {
     std::printf("score cache: %zu hits / %zu misses over %d round(s); "
                 "residual copies %zu bytes\n",
-                result->stats.score_cache_hits,
-                result->stats.score_cache_misses, result->stats.rounds,
-                result->stats.residual_copy_bytes);
+                result.stats.score_cache_hits,
+                result.stats.score_cache_misses, result.stats.rounds,
+                result.stats.residual_copy_bytes);
   }
 
   if (!summary_json.empty()) {
-    const FileSummary summary = SummarizeResult(display_path, *result,
-                                                options);
+    const FileSummary summary = SummarizeResult(display_path, result, options);
     Status written =
         WriteFileAtomic(summary_json, FileSummaryToJson(summary));
     if (!written.ok()) {
@@ -670,37 +697,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (out_dir.empty() || result->templates.empty()) return 0;
-
-  data.Advise(AccessHint::kSequential);
-  ThreadPool pool(ThreadPool::ResolveThreadCount(options.num_threads));
-  Extractor extractor(&result->templates, &pool, options.match_engine,
-                      options.charset_engine, options.max_line_bytes);
-
-  // Both layouts stream through the same WriteSinkBase machinery: the
-  // scan's flat events feed the writers directly and nothing is buffered
-  // beyond one wave of rows. Only the sink type and the per-file summary
-  // differ between layouts.
-  DatasetView view(data);
-  std::unique_ptr<WriteSinkBase> sink;
-  if (normalized) {
-    sink = std::make_unique<NormalizedWriteSink>(&result->templates, view,
-                                                 out_dir);
-  } else {
-    sink = std::make_unique<ColumnarWriteSink>(&result->templates, view,
-                                               out_dir, format);
-  }
-  if (!sink->status().ok()) {  // unwritable out dir: fail before the scan
-    std::fprintf(stderr, "error: %s\n", sink->status().ToString().c_str());
-    return 1;
-  }
-  extractor.ExtractEvents(view, sink.get());
-  Status finished = sink->Finish();
+  if (sink == nullptr) return 0;
   if (!finished.ok()) {
     std::fprintf(stderr, "error: %s\n", finished.ToString().c_str());
     return 1;
   }
-  for (size_t t = 0; t < result->templates.size(); ++t) {
+  for (size_t t = 0; t < result.templates.size(); ++t) {
     if (normalized) {
       const auto& norm = static_cast<const NormalizedWriteSink&>(*sink);
       for (size_t k = 0; k < norm.table_count(t); ++k) {
